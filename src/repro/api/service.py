@@ -30,7 +30,7 @@ from repro.api.events import (
 from repro.core.batch_engine import BatchedEngine
 from repro.core.engine import Engine
 from repro.core.instance import InstanceRuntime
-from repro.core.metrics import InstanceMetrics, MetricsSummary, summarize
+from repro.core.metrics import InstanceMetrics, MetricColumns, MetricsSummary
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
 from repro.errors import ExecutionError
@@ -201,6 +201,10 @@ class DecisionService:
         if config.dispatch == "pooled":
             self.engine.enable_pooled_dispatch()
         self._handles: list[InstanceHandle] = []
+        #: Submission counter, and the summarized scalars of released
+        #: finished instances (see :meth:`release`).
+        self._submitted = 0
+        self._released = MetricColumns()
 
     # -- submission -----------------------------------------------------------
 
@@ -217,6 +221,7 @@ class DecisionService:
         )
         handle = InstanceHandle(self, instance)
         self._handles.append(handle)
+        self._submitted += 1
         return handle
 
     def submit_stream(
@@ -294,6 +299,7 @@ class DecisionService:
             handle = InstanceHandle(self, instance)
             handles.append(handle)
             self._handles.append(handle)
+            self._submitted += 1
 
         for _ in range(min(concurrency, n)):
             submit_next()
@@ -319,15 +325,57 @@ class DecisionService:
 
     @property
     def handles(self) -> tuple[InstanceHandle, ...]:
-        """Every handle this service has issued, in submission order."""
+        """Every handle issued and not released, in submission order."""
         return tuple(self._handles)
 
     @property
     def completed(self) -> tuple[InstanceHandle, ...]:
+        """The finished handles among :attr:`handles`."""
         return tuple(h for h in self._handles if h.done)
 
+    @property
+    def instances_submitted(self) -> int:
+        """Instances ever submitted, released ones included."""
+        return self._submitted
+
+    @property
+    def instances_done(self) -> int:
+        """Instances ever finished, released ones included."""
+        return len(self._released) + sum(1 for h in self._handles if h.done)
+
+    def release(self, handles: Iterable[InstanceHandle]) -> None:
+        """Forget decided or stalled instances; their numbers stay counted.
+
+        Drops each handle from :attr:`handles` and its instance from the
+        engine, so a long-lived service holds only what is in flight.
+        The five scalars :meth:`summary` reads of each finished instance
+        stay behind in compact columns (40 bytes an instance), so the
+        summary and the ``instances_*`` counters read the same with or
+        without release.  A handle that is not done counts as stalled
+        only once the calendar has drained; until then it is in flight
+        and releasing it raises :class:`ExecutionError`.  Handles already
+        released are ignored.
+        """
+        handles = list(handles)
+        drained = self.backend.simulation.pending == 0
+        for handle in handles:
+            if handle._service is not self:
+                raise ValueError(f"{handle!r} belongs to another service")
+            if not drained and not handle.done:
+                raise ExecutionError(
+                    f"instance {handle.instance_id} is still in flight"
+                )
+        doomed = {id(handle) for handle in handles}
+        kept = []
+        released = []
+        for handle in self._handles:
+            (released if id(handle) in doomed else kept).append(handle)
+        self._handles = kept
+        self._released.extend(MetricColumns(h.metrics for h in released))
+        self.engine.release(h.instance_id for h in released)
+
     def summary(self) -> MetricsSummary:
-        """Aggregate metrics over all finished instances.
+        """Aggregate metrics over all finished instances, released ones included.
 
         A service with no finished instances (nothing submitted yet, or
         everything still in flight) summarizes to a zeroed
@@ -336,9 +384,9 @@ class DecisionService:
         service-level hit/miss/coalesce counters; with cohort execution
         armed, its cohort hit/split totals.
         """
-        summary = summarize(
-            (h.metrics for h in self._handles if h.done), empty_ok=True
-        )
+        columns = self._released.copy()
+        columns.extend(MetricColumns(h.metrics for h in self._handles))
+        summary = columns.summarize(empty_ok=True)
         cache = self.engine.query_cache
         if cache is not None:
             summary = replace(
@@ -386,8 +434,8 @@ class DecisionService:
         registry.gauge("db_mean_gmpl").set(database.mean_gmpl())
         registry.gauge("pooled_batches").set(self.engine.pooled_batches)
         registry.gauge("pooled_events").set(self.engine.pooled_events)
-        registry.gauge("instances_submitted").set(len(self._handles))
-        registry.gauge("instances_done").set(sum(1 for h in self._handles if h.done))
+        registry.gauge("instances_submitted").set(self.instances_submitted)
+        registry.gauge("instances_done").set(self.instances_done)
         cache = self.engine.query_cache
         if cache is not None:
             registry.gauge("query_cache_hits").set(cache.hits)
@@ -436,8 +484,8 @@ class DecisionService:
         return log
 
     def __repr__(self) -> str:
-        done = sum(1 for h in self._handles if h.done)
         return (
             f"<DecisionService {self.schema.name!r} {self.config.code} "
-            f"backend={self.backend.name!r} instances={done}/{len(self._handles)} done>"
+            f"backend={self.backend.name!r} "
+            f"instances={self.instances_done}/{self.instances_submitted} done>"
         )

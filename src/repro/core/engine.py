@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from time import perf_counter
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.core.instance import InstanceRuntime
 from repro.core.metrics import InstanceMetrics
@@ -218,6 +218,19 @@ class Engine:
             self._on_complete[instance_id] = on_complete
         self.sim.schedule_at(start_time, lambda: self._start(instance))
         return instance
+
+    def release(self, instance_ids: Iterable[str]) -> None:
+        """Drop finished or stalled instances from :attr:`instances`.
+
+        Nothing the engine still needs goes away: every engine path
+        reaches an instance through its own scheduled events, and
+        :attr:`instances` is only the submission ledger.  Released ids
+        stay claimed, so they can never be submitted again.
+        """
+        gone = set(instance_ids)
+        for instance_id in gone:
+            self._on_complete.pop(instance_id, None)
+        self.instances[:] = [i for i in self.instances if i.instance_id not in gone]
 
     def run(self, until: float | None = None) -> None:
         """Advance the shared simulation clock."""

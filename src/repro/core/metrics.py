@@ -13,12 +13,13 @@ The paper's three measures (section 5):
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from math import sqrt
 from statistics import mean, pstdev
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-__all__ = ["InstanceMetrics", "MetricsSummary", "summarize"]
+__all__ = ["InstanceMetrics", "MetricColumns", "MetricsSummary", "summarize"]
 
 
 @dataclass
@@ -198,6 +199,69 @@ class MetricsSummary:
         )
 
 
+class MetricColumns:
+    """The per-instance scalars :func:`summarize` reads, as compact columns.
+
+    One ``array('d')`` per scalar (8 bytes an instance each), filled from
+    the finished instances among *metrics*.  A service that forgets
+    finished instances keeps their numbers here, so its summary stays
+    the exact summary of every instance it ever finished.  Integer
+    counters are stored as floats, which is what :func:`summarize`
+    averages them as.
+    """
+
+    __slots__ = (
+        "work_units",
+        "elapsed",
+        "speculative_wasted_units",
+        "unneeded_detected",
+        "queries_launched",
+    )
+
+    def __init__(self, metrics: Iterable[InstanceMetrics] = ()) -> None:
+        finished = [m for m in metrics if m.done]
+        self.work_units = array("d", [m.work_units for m in finished])
+        self.elapsed = array("d", [m.elapsed for m in finished])
+        self.speculative_wasted_units = array(
+            "d", [m.speculative_wasted_units for m in finished]
+        )
+        self.unneeded_detected = array("d", [m.unneeded_detected for m in finished])
+        self.queries_launched = array("d", [m.queries_launched for m in finished])
+
+    def extend(self, other: "MetricColumns") -> None:
+        """Append another set of columns to these."""
+        for name in self.__slots__:
+            getattr(self, name).extend(getattr(other, name))
+
+    def copy(self) -> "MetricColumns":
+        columns = MetricColumns()
+        columns.extend(self)
+        return columns
+
+    def __len__(self) -> int:
+        return len(self.work_units)
+
+    def summarize(self, *, empty_ok: bool = False) -> MetricsSummary:
+        """The :class:`MetricsSummary` of the columns; see :func:`summarize`."""
+        if not self.work_units:
+            if empty_ok:
+                return MetricsSummary.empty()
+            raise ValueError("no finished instances to summarize")
+        works = self.work_units
+        elapsed = self.elapsed
+        return MetricsSummary(
+            count=len(works),
+            mean_work=mean(works),
+            std_work=pstdev(works) if len(works) > 1 else 0.0,
+            mean_elapsed=mean(elapsed),
+            std_elapsed=pstdev(elapsed) if len(elapsed) > 1 else 0.0,
+            mean_speculative_wasted_units=mean(self.speculative_wasted_units),
+            mean_unneeded_detected=mean(self.unneeded_detected),
+            total_work=int(sum(works)),
+            mean_queries_launched=mean(self.queries_launched),
+        )
+
+
 def summarize(
     metrics: Iterable[InstanceMetrics], *, empty_ok: bool = False
 ) -> MetricsSummary:
@@ -209,23 +273,4 @@ def summarize(
     zeroed summary (``count == 0``, all means ``0.0``) instead, which is
     what live services report before any instance completes.
     """
-    finished: Sequence[InstanceMetrics] = [m for m in metrics if m.done]
-    if not finished:
-        if empty_ok:
-            return MetricsSummary.empty()
-        raise ValueError("no finished instances to summarize")
-    works = [float(m.work_units) for m in finished]
-    elapsed = [m.elapsed for m in finished]
-    return MetricsSummary(
-        count=len(finished),
-        mean_work=mean(works),
-        std_work=pstdev(works) if len(works) > 1 else 0.0,
-        mean_elapsed=mean(elapsed),
-        std_elapsed=pstdev(elapsed) if len(elapsed) > 1 else 0.0,
-        mean_speculative_wasted_units=mean(
-            float(m.speculative_wasted_units) for m in finished
-        ),
-        mean_unneeded_detected=mean(float(m.unneeded_detected) for m in finished),
-        total_work=int(sum(works)),
-        mean_queries_launched=mean(float(m.queries_launched) for m in finished),
-    )
+    return MetricColumns(metrics).summarize(empty_ok=empty_ok)

@@ -132,6 +132,14 @@ class SerialExecutor:
     def record_for(self, instance_id: str) -> InstanceRecord | None:
         return None  # serial handles are live; nothing to materialize
 
+    def release(self, released: Sequence[tuple[int, str, InstanceHandle | None]]) -> None:
+        """Release ``(shard, instance_id, local handle)`` from the shard services."""
+        by_shard: dict[int, list[InstanceHandle]] = {}
+        for shard, _instance_id, local in released:
+            by_shard.setdefault(shard, []).append(local)
+        for shard, locals_ in by_shard.items():
+            self.services[shard].release(locals_)
+
     def round_events(self) -> list[list]:
         return [[] for _ in self.services]  # live delivery; nothing to replay
 
@@ -183,8 +191,8 @@ class SerialExecutor:
         return [
             ShardStats(
                 shard=index,
-                instances=len(service.handles),
-                completed=len(service.completed),
+                instances=service.instances_submitted,
+                completed=service.instances_done,
                 total_units=service.database.total_units,
                 queries_completed=service.database.queries_completed,
                 queries_cancelled=service.database.queries_cancelled,
@@ -483,6 +491,11 @@ class ProcessExecutor:
 
     def record_for(self, instance_id: str) -> InstanceRecord | None:
         return self._records.get(instance_id)
+
+    def release(self, released: Sequence[tuple[int, str, None]]) -> None:
+        """Drop the parent's materialized records (workers keep theirs)."""
+        for _shard, instance_id, _local in released:
+            self._records.pop(instance_id, None)
 
     def round_events(self) -> list[list]:
         """Per-shard events newly collected by the last round."""

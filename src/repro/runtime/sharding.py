@@ -286,6 +286,13 @@ class ShardedDecisionService:
         self.shards = config.shards
         self._executor = EXECUTOR_CLASSES[config.executor](schema, config, self.shards)
         self._handles: list[ShardedInstanceHandle] = []
+        #: submission counter and finished released instances (release())
+        self._submitted = 0
+        self._released_done = 0
+        #: whether the last run() drained every shard with nothing
+        #: submitted since: a not-done instance is then stalled, not in
+        #: flight, and may be released.
+        self._drained = True
         self._instance_ids: set[str] = set()
         self._id_seq = itertools.count(1)
         #: placement state: where each instance was routed, how many each
@@ -339,6 +346,7 @@ class ShardedDecisionService:
     ) -> ShardedInstanceHandle:
         handle = ShardedInstanceHandle(self, shard, instance_id, local)
         self._handles.append(handle)
+        self._submitted += 1
         return handle
 
     # -- submission -----------------------------------------------------------
@@ -353,6 +361,7 @@ class ShardedDecisionService:
         """Submit one instance to its home shard."""
         instance_id = self._claim_id(instance_id)
         shard = self._route(instance_id)
+        self._drained = False
         try:
             local = self._executor.submit(shard, instance_id, source_values, at)
         except Exception:
@@ -419,6 +428,7 @@ class ShardedDecisionService:
             shard = self._route(instance_id)
             per_shard_ids[shard].append(instance_id)
             per_shard_values[shard].append(source_values)
+        self._drained = False
         active = [s for s in range(self.shards) if per_shard_ids[s]]
         shares = _split_concurrency(concurrency, len(active))
         local_lists: dict[int, list[InstanceHandle] | None] = {}
@@ -447,6 +457,7 @@ class ShardedDecisionService:
         """Drive every shard one round: to *until*, or until its work drains."""
         collect = bool(self._logs) or any(self._handlers.values())
         self._executor.run(until, collect_events=collect)
+        self._drained = until is None
         self._replay_events()
         if self.config.placement != "hash":
             for index, stat in enumerate(self._executor.shard_stats()):
@@ -459,12 +470,56 @@ class ShardedDecisionService:
 
     @property
     def handles(self) -> tuple[ShardedInstanceHandle, ...]:
-        """Every handle this service has issued, in submission order."""
+        """Every handle issued and not released, in submission order."""
         return tuple(self._handles)
 
     @property
     def completed(self) -> tuple[ShardedInstanceHandle, ...]:
+        """The finished handles among :attr:`handles`."""
         return tuple(h for h in self._handles if h.done)
+
+    @property
+    def instances_submitted(self) -> int:
+        """Instances ever submitted, released ones included."""
+        return self._submitted
+
+    @property
+    def instances_done(self) -> int:
+        """Instances ever finished, released ones included."""
+        return self._released_done + sum(1 for h in self._handles if h.done)
+
+    def release(self, handles: Iterable[ShardedInstanceHandle]) -> None:
+        """Forget decided or stalled instances; see :meth:`DecisionService.release`.
+
+        Drops the handles and their routes here and the executor's copy
+        of them: the serial executor releases them from its shard
+        services; the process executor drops the records it materialized
+        (the workers keep theirs).  Summaries and counters are unchanged.
+        A not-done handle is stalled only after a ``run()`` without
+        *until* drained every shard; before that, releasing it raises
+        :class:`ExecutionError`.  A released handle keeps answering from
+        what it last resolved.
+        """
+        handles = list(handles)
+        for handle in handles:
+            if handle._service is not self:
+                raise ValueError(f"{handle!r} belongs to another service")
+            if not handle.done and not self._drained:
+                raise ExecutionError(
+                    f"instance {handle.instance_id} is still in flight"
+                )
+        doomed = {id(handle) for handle in handles}
+        kept = []
+        released = []
+        for handle in self._handles:
+            (released if id(handle) in doomed else kept).append(handle)
+        self._handles = kept
+        self._released_done += sum(1 for handle in released if handle.done)
+        for handle in released:
+            del self._routes[handle.instance_id]
+        self._executor.release(
+            [(handle.shard, handle.instance_id, handle._local) for handle in released]
+        )
 
     def summary(self) -> MetricsSummary:
         """Cross-shard aggregate metrics (`MetricsSummary.merge` of shards)."""
@@ -617,11 +672,11 @@ class ShardedDecisionService:
                 handler(event)
 
     def __repr__(self) -> str:
-        done = sum(1 for h in self._handles if h.done)
         return (
             f"<ShardedDecisionService {self.schema.name!r} {self.config.code} "
             f"shards={self.shards} executor={self.config.executor!r} "
-            f"backend={self.config.backend!r} instances={done}/{len(self._handles)} done>"
+            f"backend={self.config.backend!r} "
+            f"instances={self.instances_done}/{self.instances_submitted} done>"
         )
 
 

@@ -174,8 +174,8 @@ def _shard_outcome(
         pooled_events=service.engine.pooled_events,
         obs=service.observability() if service.obs.enabled else None,
         trace=service.obs.tracer.events() if service.obs.enabled else None,
-        instances=len(service.handles),
-        completed=sum(1 for handle in service.handles if handle.done),
+        instances=service.instances_submitted,
+        completed=service.instances_done,
     )
 
 
@@ -265,8 +265,8 @@ class _PersistentShard:
         service = self.service
         return {
             "shard": self.shard,
-            "instances": len(service.handles),
-            "completed": sum(1 for handle in service.handles if handle.done),
+            "instances": service.instances_submitted,
+            "completed": service.instances_done,
             "now": service.now,
         }
 

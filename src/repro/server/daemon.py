@@ -21,7 +21,7 @@ over recent epochs.  The queue can never exceed ``high_water``, which is
 what bounds daemon memory and keeps the engine from falling unboundedly
 behind the arrival rate.
 
-Completed records (source valuation, decision values, metrics snapshot,
+Decided records (source valuation, decision values, metrics snapshot,
 config hash) are written to a :class:`~repro.server.store.RunStore` after
 every epoch, so ``get()`` on a restarted daemon still resolves instances
 finished before the restart.  :meth:`shutdown` is graceful: admission
@@ -32,9 +32,10 @@ store is flushed and closed — zero accepted instances are lost.
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
 from queue import Full, Queue
 from typing import Any, Mapping, Sequence
@@ -68,6 +69,11 @@ STATUSES = (QUEUED, RUNNING, DONE, STALLED, FAILED)
 #: Default wall→DES time scale: 1 wall second = 1000 simulated ticks,
 #: the repo-wide "ms clock" convention the CLI's --rate flag uses.
 DEFAULT_TICKS_PER_SECOND = 1000.0
+
+#: Decided instances kept as encoded responses, per unit of the arrival
+#: queue's high-water mark: enough for clients polling the most recent
+#: few queues' worth of ids without a store round trip.
+RING_PER_HIGH_WATER = 4
 
 #: Default drain-loop liveness threshold (wall seconds).  The loop
 #: heartbeats every wake and between epochs; a heartbeat older than this
@@ -109,7 +115,8 @@ class _Pending:
 
 @dataclass
 class _Record:
-    """Live (this-daemon-lifetime) state of one accepted instance."""
+    """Live state of one queued or running instance (decided once an
+    epoch ends, until it moves to the ring as response bytes)."""
 
     instance_id: str
     status: str
@@ -120,6 +127,11 @@ class _Record:
     values: dict | None = None
     metrics: Any = None  # InstanceMetrics once done
     error: str | None = None
+
+
+def encode_payload(payload: dict) -> bytes:
+    """A JSON response body: one line, newline-terminated."""
+    return (json.dumps(payload) + "\n").encode("utf-8")
 
 
 def _event_payload(event: object) -> dict | None:
@@ -173,6 +185,16 @@ class ServerDaemon:
     wedged loop; ``config.observe`` arms the repro.obs tracer and
     registry across the daemon and its service (the per-stage latency
     histograms of :meth:`stage_stats` are always on).
+
+    Memory is bounded by in-flight work when a store is configured.
+    After an epoch is recorded and persisted, its handles are released
+    from the service (:meth:`DecisionService.release`), which keeps only
+    40 bytes of summary columns per instance.  Its records move to a
+    ring of the ``ring_size`` (``4 * high_water``) most recent decisions,
+    kept as encoded ``GET /instances/<id>`` bodies.  Older ids are
+    answered by the store.  Without a store nothing is evicted, so every
+    accepted id stays resolvable: the ring then grows by one encoded
+    body per decision, which is compact but unbounded.
     """
 
     def __init__(
@@ -225,6 +247,11 @@ class ServerDaemon:
         self._service_lock = threading.Lock()
         self._queue: deque[_Pending] = deque()
         self._records: dict[str, _Record] = {}
+        #: decided instances as their encoded GET /instances/<id> body,
+        #: oldest first; with a store, trimmed to ring_size (older ids
+        #: are answered from the store).
+        self._decided: OrderedDict[str, bytes] = OrderedDict()
+        self.ring_size = RING_PER_HIGH_WATER * high_water
         self._completion_walls: dict[str, float] = {}
 
         # -- counters (guarded by _state_lock) --
@@ -390,6 +417,7 @@ class ServerDaemon:
         epoch_wall = time.time()
         span_started = time.perf_counter()
         handles: list[tuple[_Pending, object]] = []
+        failed: list[_Record] = []
         with self._service_lock:
             floor = self.service.now
             for pending in batch:
@@ -406,14 +434,14 @@ class ServerDaemon:
                         instance_id=pending.instance_id,
                     )
                 except Exception as error:  # a bad valuation must not kill the loop
-                    self._mark_failed(pending.instance_id, error)
+                    failed.append(self._mark_failed(pending.instance_id, error))
                     continue
                 handles.append((pending, handle))
             try:
                 self.service.run()
             except Exception as error:  # pragma: no cover - engine invariant breach
                 for pending, _handle in handles:
-                    self._mark_failed(pending.instance_id, error)
+                    failed.append(self._mark_failed(pending.instance_id, error))
                 handles = []
         if self._obs.enabled:
             self._obs.tracer.record(
@@ -422,20 +450,30 @@ class ServerDaemon:
                 time.perf_counter(),
                 args={"batch": len(batch)},
             )
-        self._finish_epoch(handles, time.monotonic() - epoch_mono)
+        self._finish_epoch(handles, failed, time.monotonic() - epoch_mono)
 
-    def _mark_failed(self, instance_id: str, error: Exception) -> None:
+    def _mark_failed(self, instance_id: str, error: Exception) -> _Record:
         with self._state_lock:
             record = self._records[instance_id]
             record.status = FAILED
             record.error = f"{type(error).__name__}: {error}"
             self._failed += 1
+        return record
 
     def _finish_epoch(
-        self, handles: list[tuple[_Pending, object]], epoch_seconds: float
+        self,
+        handles: list[tuple[_Pending, object]],
+        failed: list[_Record],
+        epoch_seconds: float,
     ) -> None:
+        """Record, persist, then retire one epoch's decided instances.
+
+        Retiring moves each record into the ring as its encoded response
+        and releases its handle from the service; the ring is trimmed
+        only after the store holds every id it drops.
+        """
         fallback_wall = time.time()
-        to_persist = []
+        decided = list(failed)
         done_count = 0
         with self._state_lock:
             for pending, handle in handles:
@@ -455,7 +493,7 @@ class ServerDaemon:
                     # run() drained the calendar with targets unstable:
                     # the flow can never finish.  Record it as stalled.
                     record.status = STALLED
-                to_persist.append(self._store_record(record))
+                decided.append(record)
             self._completed += done_count
             self._stalled += len(handles) - done_count
             self._epochs += 1
@@ -467,10 +505,25 @@ class ServerDaemon:
                     if self._drain_rate is None
                     else 0.3 * rate + 0.7 * self._drain_rate
                 )
-        if self._store is not None and to_persist:
-            written = self._store.record_many(to_persist)
+        # Decided records never change again: build each payload once,
+        # persist it, and keep it encoded for GET.
+        payloads = [self._payload_from_live(record) for record in decided]
+        if self._store is not None and payloads:
+            written = self._store.record_many(
+                [self._store_record(payload) for payload in payloads]
+            )
             with self._state_lock:
                 self._persisted += written
+        encoded = [(payload["id"], encode_payload(payload)) for payload in payloads]
+        with self._state_lock:
+            for instance_id, body in encoded:
+                del self._records[instance_id]
+                self._decided[instance_id] = body
+            if self._store is not None:
+                while len(self._decided) > self.ring_size:
+                    self._decided.popitem(last=False)
+        with self._service_lock:
+            self.service.release(handle for _pending, handle in handles)
 
     @staticmethod
     def _handle_values(handle: object) -> dict:
@@ -478,18 +531,21 @@ class ServerDaemon:
             return dict(handle.instance.value_map())
         return dict(handle.value_map())
 
-    def _store_record(self, record: _Record) -> dict:
+    @staticmethod
+    def _store_record(payload: dict) -> dict:
+        """The :class:`RunStore` row of a decided instance's live payload."""
         return {
-            "instance_id": record.instance_id,
-            "schema_name": self.schema.name,
-            "status": record.status,
-            "submitted_wall": record.submitted_wall,
-            "started_wall": record.started_wall,
-            "completed_wall": record.completed_wall,
-            "source": encode_values(record.source) or {},
-            "values": encode_values(record.values),
-            "metrics": asdict(record.metrics) if record.metrics is not None else None,
-            "config_hash": self.config_digest,
+            "instance_id": payload["id"],
+            "schema_name": payload["schema"],
+            "status": payload["status"],
+            "submitted_wall": payload["submitted_at"],
+            "started_wall": payload["started_at"],
+            "completed_wall": payload["completed_at"],
+            "source": payload["source"],
+            "values": payload["values"],
+            "metrics": payload["metrics"],
+            "config_hash": payload["config_hash"],
+            "error": payload.get("error"),
         }
 
     # -- reading --------------------------------------------------------------
@@ -497,19 +553,31 @@ class ServerDaemon:
     def get(self, instance_id: str) -> dict | None:
         """The status payload for one instance id, or None if unknown.
 
-        Live records (this daemon lifetime) take precedence; otherwise
-        the persistent store answers for work finished before a restart
-        (``origin: "store"``).
+        Queued, running and recently decided instances answer from
+        memory (``origin: "live"``); older ones, and work finished
+        before a restart, from the persistent store (``origin:
+        "store"``).
+        """
+        body = self.get_json(instance_id)
+        return None if body is None else json.loads(body)
+
+    def get_json(self, instance_id: str) -> bytes | None:
+        """:meth:`get`'s payload as encoded JSON (what HTTP sends).
+
+        A recently decided instance is a dictionary lookup: its response
+        was encoded once, when its epoch ended.
         """
         with self._state_lock:
+            body = self._decided.get(instance_id)
+            if body is not None:
+                return body
             record = self._records.get(instance_id)
-            if record is not None:
-                return self._payload_from_live(record)
-        if self._store is not None:
+            payload = None if record is None else self._payload_from_live(record)
+        if payload is None and self._store is not None:
             stored = self._store.get(instance_id)
             if stored is not None:
-                return self._payload_from_store(stored)
-        return None
+                payload = self._payload_from_store(stored)
+        return None if payload is None else encode_payload(payload)
 
     def _payload_from_live(self, record: _Record) -> dict:
         payload = {
@@ -546,6 +614,8 @@ class ServerDaemon:
             "config_hash": stored["config_hash"],
             "origin": "store",
         }
+        if stored.get("error") is not None:
+            payload["error"] = stored["error"]
         if stored["completed_wall"] is not None:
             payload["latency"] = stored["completed_wall"] - stored["submitted_wall"]
         return payload
@@ -569,6 +639,7 @@ class ServerDaemon:
                 "stalled": self._stalled,
                 "failed": self._failed,
                 "persisted": self._persisted,
+                "live_records": len(self._records) + len(self._decided),
                 "epochs": self._epochs,
                 "drain_rate": self._drain_rate,
                 "events_dropped": self._events_dropped,

@@ -25,6 +25,11 @@ Endpoints::
     GET  /healthz          drain-loop liveness: 200 while the loop
                            heartbeats, 503 once it is wedged or dead
 
+Every response goes out in one write (status line, headers and body in
+one buffer) on a ``TCP_NODELAY`` socket, so back-to-back keep-alive
+requests never wait on the client's delayed ACK.  A request whose body
+stops arriving is cut off after ``DecisionRequestHandler.timeout``.
+
 ``create_server`` binds (port 0 → ephemeral, how the tests stay
 port-free); ``start_http_server`` also spins the serve loop on a
 background thread and returns ``(server, thread)``.
@@ -38,7 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from queue import Empty
 from urllib.parse import parse_qs, urlsplit
 
-from repro.server.daemon import ServerDaemon
+from repro.server.daemon import ServerDaemon, encode_payload
 
 __all__ = ["DecisionServer", "DecisionRequestHandler", "create_server", "start_http_server"]
 
@@ -64,6 +69,15 @@ class DecisionServer(ThreadingHTTPServer):
 class DecisionRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-server/1.0"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket.  With Nagle on, a response
+    #: sent while the client still delays its ACK of the previous one
+    #: waits for that ACK (~40 ms on Linux).
+    disable_nagle_algorithm = True
+    #: Socket timeout in seconds for reading a request (and for idle
+    #: keep-alive connections): a client that declares a body and stops
+    #: sending gets its connection closed instead of holding a handler
+    #: thread until it disconnects.
+    timeout = 30.0
 
     @property
     def daemon(self) -> ServerDaemon:
@@ -75,28 +89,37 @@ class DecisionRequestHandler(BaseHTTPRequestHandler):
         if not getattr(self.server, "quiet", True):
             super().log_message(format, *args)
 
-    def _send_json(
-        self, status: int, payload: dict, *, headers: dict | None = None
+    def _send_body(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: dict | None = None,
     ) -> None:
-        body = (json.dumps(payload) + "\n").encode("utf-8")
+        """Send one response in one write: status line, headers, body."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # a bare body, no headers
+            self.wfile.write(body)
+            return
+        # end_headers() would flush the headers on their own; append the
+        # blank line and the body to the same buffer and flush it once.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
+
+    def _send_json(
+        self, status: int, payload: dict, *, headers: dict | None = None
+    ) -> None:
+        self._send_body(status, encode_payload(payload), "application/json", headers)
 
     def _send_error_json(self, status: int, message: str, **extra) -> None:
         self._send_json(status, {"error": {"message": message, **extra}})
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(status, text.encode("utf-8"), content_type)
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -135,13 +158,13 @@ class DecisionRequestHandler(BaseHTTPRequestHandler):
             self._send_json(200, self.daemon.trace_payload())
         elif url.path.startswith("/instances/"):
             instance_id = url.path[len("/instances/"):]
-            payload = self.daemon.get(instance_id)
-            if payload is None:
+            body = self.daemon.get_json(instance_id)
+            if body is None:
                 self._send_error_json(
                     404, f"unknown instance id {instance_id!r}", id=instance_id
                 )
             else:
-                self._send_json(200, payload)
+                self._send_body(200, body, "application/json")
         elif url.path == "/events":
             self._stream_events(parse_qs(url.query))
         else:
@@ -231,7 +254,7 @@ class DecisionRequestHandler(BaseHTTPRequestHandler):
                     continue
                 if payload is None:  # shutdown sentinel
                     break
-                self.wfile.write((json.dumps(payload) + "\n").encode("utf-8"))
+                self.wfile.write(encode_payload(payload))
                 self.wfile.flush()
                 sent += 1
         except (BrokenPipeError, ConnectionResetError):

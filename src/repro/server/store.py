@@ -52,7 +52,8 @@ CREATE TABLE IF NOT EXISTS runs (
     source_json    TEXT NOT NULL,
     values_json    TEXT,
     metrics_json   TEXT,
-    config_hash    TEXT NOT NULL
+    config_hash    TEXT NOT NULL,
+    error          TEXT
 );
 """
 
@@ -60,7 +61,7 @@ CREATE TABLE IF NOT EXISTS runs (
 #: when an existing store predates them.  Additions only — SQLite cannot
 #: drop or retype columns in place, and additive migration keeps old
 #: daemons able to read new stores (they select by name, not position).
-_MIGRATIONS = (("started_wall", "REAL"),)
+_MIGRATIONS = (("started_wall", "REAL"), ("error", "TEXT"))
 
 
 def config_hash(config) -> str:
@@ -149,8 +150,9 @@ class RunStore:
         ``schema_name``, ``status``, ``submitted_wall``, ``started_wall``
         (optional — legacy writers omit it), ``completed_wall``,
         ``source`` (encoded values), ``values`` (encoded values or None),
-        ``metrics`` (plain dict or None), and ``config_hash``.  Returns
-        the number of rows written.
+        ``metrics`` (plain dict or None), ``config_hash``, and ``error``
+        (optional: why a failed instance failed).  Returns the number of
+        rows written.
         """
         rows = [
             (
@@ -168,6 +170,7 @@ class RunStore:
                 if record.get("metrics") is None
                 else json.dumps(record["metrics"], sort_keys=True),
                 record["config_hash"],
+                record.get("error"),
             )
             for record in records
         ]
@@ -181,8 +184,8 @@ class RunStore:
                 "INSERT OR REPLACE INTO runs ("
                 "instance_id, schema_name, status, submitted_wall, "
                 "started_wall, completed_wall, source_json, values_json, "
-                "metrics_json, config_hash) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "metrics_json, config_hash, error) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
             )
             self._conn.commit()
@@ -219,6 +222,7 @@ class RunStore:
             "values": None if row["values_json"] is None else json.loads(row["values_json"]),
             "metrics": None if row["metrics_json"] is None else json.loads(row["metrics_json"]),
             "config_hash": row["config_hash"],
+            "error": row["error"],
         }
 
     def count(self) -> int:

@@ -8,14 +8,17 @@ fill, the drain loop is stalled deterministically by shadowing
 iteration), never by sleeping and hoping.
 """
 
+import http.client
+import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro import ExecutionConfig, PatternParams, generate_pattern
-from repro.core.metrics import MetricsSummary
-from repro.server import STATUSES, RunStore, ServerDaemon
+from repro.core.metrics import InstanceMetrics, MetricsSummary, summarize
+from repro.server import STATUSES, RunStore, ServerDaemon, start_http_server
 
 WAIT = 30.0  # generous wall-clock bound; every wait in here is event-driven
 
@@ -230,6 +233,97 @@ class TestPersistence:
         daemon.submit_many([None] * 3)
         assert daemon.wait_idle(WAIT)
         assert daemon.server_stats()["persisted"] == 0
+
+
+class TestBoundedMemory:
+    """A daemon holds what is in flight plus a ring of recent decisions;
+    everything older is answered by the store."""
+
+    INSTANCES = 2000
+    HIGH_WATER = 40
+    #: the fast recipe, so 2000 instances take a second or two
+    CONFIG = ExecutionConfig.from_code(
+        "PSE80", engine="batched", dispatch="pooled", query_cache=True
+    )
+
+    def drive(self, daemon, check=None):
+        """Push INSTANCES through in full queues; call *check* throughout."""
+        ids = []
+        while len(ids) < self.INSTANCES:
+            n = min(self.HIGH_WATER, self.INSTANCES - len(ids))
+            result = daemon.submit_many([{"src": (len(ids) + i) % 100} for i in range(n)])
+            assert result.ok
+            ids.extend(result.accepted)
+            if check is not None:
+                check(in_flight=n)
+            assert daemon.wait_idle(WAIT)
+            if check is not None:
+                check(in_flight=0)
+        return ids
+
+    def test_store_bounds_memory_and_answers_old_ids(self, make_daemon, tmp_path):
+        db = tmp_path / "runs.sqlite"
+        daemon = make_daemon(self.CONFIG, db=str(db), high_water=self.HIGH_WATER)
+        assert daemon.ring_size == 4 * self.HIGH_WATER
+        service = daemon.service
+        peaks = {"records": 0}
+
+        def check(in_flight):
+            # Sampled while the drain loop may be mid-epoch.
+            handles = len(service.handles)
+            engine = len(service.engine.instances)
+            records = daemon.server_stats()["live_records"]
+            peaks["records"] = max(peaks["records"], records)
+            assert handles <= in_flight
+            assert engine <= in_flight
+            assert records <= in_flight + daemon.ring_size
+
+        ids = self.drive(daemon, check)
+        assert peaks["records"] > daemon.ring_size  # the bound was reached
+        assert daemon.server_stats()["live_records"] == daemon.ring_size
+        server, thread = start_http_server(daemon)
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=WAIT)
+            conn.request("GET", f"/instances/{ids[0]}")
+            response = conn.getresponse()
+            first = json.loads(response.read())
+            conn.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(WAIT)
+        assert response.status == 200
+        assert first["status"] == "done" and first["origin"] == "store"
+        assert daemon.get(ids[-1])["origin"] == "live"
+        summary = daemon.summary()
+        assert daemon.shutdown()
+        with RunStore(db) as store:
+            stored = [InstanceMetrics(**store.get(i)["metrics"]) for i in ids]
+        # The service-level cache counters are not per-instance metrics.
+        per_instance = replace(
+            summary, query_cache_hits=0, query_cache_misses=0, query_cache_coalesced=0
+        )
+        assert per_instance == summarize(stored)
+        assert summary.count == self.INSTANCES
+
+    def test_without_a_store_every_id_still_resolves(self, make_daemon):
+        daemon = make_daemon(self.CONFIG, high_water=self.HIGH_WATER)
+        ids = self.drive(daemon)
+        assert len(daemon.service.handles) == 0
+        assert daemon.server_stats()["live_records"] == self.INSTANCES
+        assert all(daemon.get(i)["status"] == "done" for i in ids)
+        assert daemon.summary().count == self.INSTANCES
+
+    def test_failed_instances_persist_with_their_error(self, make_daemon, tmp_path):
+        db = tmp_path / "runs.sqlite"
+        daemon = make_daemon(db=str(db))
+        bad = daemon.submit({"no_such_attribute": 1}).accepted[0]
+        assert daemon.wait_idle(WAIT)
+        assert daemon.shutdown()
+        restarted = make_daemon(db=str(db))
+        payload = restarted.get(bad)
+        assert payload["status"] == "failed" and payload["origin"] == "store"
+        assert "ExecutionError" in payload["error"]
 
 
 class TestShardedService:

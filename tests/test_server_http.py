@@ -7,6 +7,8 @@ an ephemeral port) and is talked to over the loopback with stdlib
 
 import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 
@@ -15,6 +17,7 @@ import pytest
 from repro import ExecutionConfig, PatternParams, generate_pattern
 from repro.core.metrics import MetricsSummary
 from repro.server import ServerDaemon, start_http_server
+from repro.server.http import DecisionRequestHandler
 
 WAIT = 30.0
 
@@ -482,3 +485,97 @@ class TestEventStreamUnderLoad:
             time.sleep(0.02)
         assert threading.active_count() <= threads_before
         assert daemon.server_stats()["events_dropped"] == 0
+
+
+class TestTransport:
+    """Each response is one write on a TCP_NODELAY socket, so keep-alive
+    requests never wait out Nagle against the client's delayed ACK."""
+
+    def test_one_json_response_is_one_socket_write(self, stack):
+        daemon, server = stack
+        writes = []
+        nodelay = []
+
+        class Recording(DecisionRequestHandler):
+            def setup(self):
+                super().setup()
+                nodelay.append(
+                    self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                )
+                write = self.wfile.write
+
+                def recorded(data):
+                    writes.append(bytes(data))
+                    return write(data)
+
+                self.wfile.write = recorded
+
+        server.RequestHandlerClass = Recording
+        (instance_id,) = submit_and_wait(daemon, server, {})
+        writes.clear()
+        status, _, payload = request(server, "GET", f"/instances/{instance_id}")
+        assert status == 200 and payload["status"] == "done"
+        assert len(writes) == 1
+        head, body = writes[0].split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 200")
+        assert json.loads(body) == payload
+        assert nodelay and all(nodelay)
+
+    def test_http_0_9_request_gets_a_bare_body(self, stack):
+        _daemon, server = stack
+        with socket.create_connection(("127.0.0.1", server.port), timeout=WAIT) as conn:
+            conn.sendall(b"GET /healthz\r\n\r\n")
+            raw = b""
+            while chunk := conn.recv(4096):
+                raw += chunk
+        assert json.loads(raw)["status"] == "ok"
+
+    def test_keep_alive_post_round_trip_misses_the_ack_stall(self, stack):
+        """Back-to-back POSTs on one connection: with Nagle and a split
+        header/body write, each waits ~40 ms for the delayed ACK."""
+        _daemon, server = stack
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=WAIT)
+        body = json.dumps({})
+        headers = {"Content-Type": "application/json"}
+        rtts = []
+        try:
+            for _ in range(50):
+                started = time.perf_counter()
+                conn.request("POST", "/instances", body=body, headers=headers)
+                response = conn.getresponse()
+                response.read()
+                rtts.append(time.perf_counter() - started)
+                assert response.status == 202
+        finally:
+            conn.close()
+        assert statistics.median(rtts) < 0.020, rtts
+
+
+class TestReadTimeout:
+    def test_stalled_body_is_cut_off_while_others_are_served(self, stack):
+        daemon, server = stack
+        timeout = 0.5
+        server.RequestHandlerClass = type(
+            "QuickTimeout", (DecisionRequestHandler,), {"timeout": timeout}
+        )
+        stalled = socket.create_connection(("127.0.0.1", server.port), timeout=WAIT)
+        try:
+            stalled.sendall(
+                b"POST /instances HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n{}"
+            )
+            started = time.monotonic()
+            # Another client is served while the stalled one holds its thread.
+            status, _, payload = request(server, "GET", "/healthz")
+            assert status == 200 and payload["status"] == "ok"
+            assert time.monotonic() - started < timeout
+            assert stalled.recv(1024) == b""  # closed, with no response
+            assert time.monotonic() - started >= timeout * 0.9
+        finally:
+            stalled.close()
+        assert daemon.server_stats()["accepted"] == 0
+
+    def test_default_timeout_outlasts_keep_alive_idle_gaps(self):
+        assert DecisionRequestHandler.timeout >= 30.0
