@@ -60,6 +60,19 @@ __all__ = ["BatchedEngine", "BatchedInstance"]
 
 _UNSET = object()
 
+#: Why a lockstep cohort fell back to live mirroring (the
+#: ``cohort_demotions{reason=...}`` counter label):
+#:
+#: * ``coalesced`` — a representative launch coalesced into another
+#:   issuer's primary;
+#: * ``observed`` — a representative launch was memo-served while an
+#:   observer listens (members need their own delivery events);
+#: * ``late_join`` — a real follower coalesced behind a representative
+#:   primary before a later member joined;
+#: * ``split_all`` — members cancelled a wait the representative's
+#:   query went on to complete.
+DEMOTION_REASONS = ("coalesced", "observed", "late_join", "split_all")
+
 
 class _LaunchRecord:
     """One launch decision of a cohort representative, replayable per member.
@@ -161,14 +174,15 @@ class _Cohort:
     * ``"live"`` — members submit their own queries and mirror the log
       through their own completion callbacks (the only sound mode
       without a query cache, and the fallback whenever a
-      representative's launch is answered by the cache rather than
-      dispatched as a primary);
+      representative's launch coalesces into another issuer's primary,
+      or is memo-served while an observer listens);
     * ``"lockstep"`` — with a query cache, members whose every launch
-      would coalesce behind the representative's own primaries are
-      tracked *virtually*: one weighted attachment per primary
+      would coalesce behind the representative's own primaries, or hit
+      the memo like the representative's did, are tracked *virtually*:
+      one weighted attachment per primary or pending memo delivery
       (:meth:`QueryShareCache.attach_virtual`), one shared metrics
       ``template`` (members are bit-identical until they finish), and
-      per-member work only for observer events, finishing, and the two
+      per-member work only for observer events, finishing, and the
       demotion paths back to ``"live"``/ordinary execution.
     """
 
@@ -767,6 +781,14 @@ class BatchedEngine(Engine):
             self._obs_cohort_forms = registry.counter("cohort_forms")
             self._obs_cohort_joins = registry.counter("cohort_joins")
             self._obs_cohort_splits = registry.counter("cohort_splits")
+            self._obs_cohort_modes = {
+                mode: registry.counter("cohort_modes", mode=mode)
+                for mode in ("lockstep", "live")
+            }
+            self._obs_cohort_demotions = {
+                reason: registry.counter("cohort_demotions", reason=reason)
+                for reason in DEMOTION_REASONS
+            }
         else:
             self.plan = CompiledPlan(self.schema, self.strategy)
         #: Cohort execution needs a deterministic start state (the typed
@@ -917,6 +939,7 @@ class BatchedEngine(Engine):
             if cohort.mode is None:
                 cohort.mode = self._decide_cohort_mode(cohort)
                 if self._obs_on:
+                    self._obs_cohort_modes[cohort.mode].inc()
                     self.obs.tracer.instant(
                         "cohort.mode",
                         args={"rep": cohort.rep.instance_id, "mode": cohort.mode},
@@ -1014,20 +1037,29 @@ class BatchedEngine(Engine):
     # -- lockstep cohorts (cohort-weighted cache attachment) -----------------
     #
     # With a query cache, every member launch would coalesce behind the
-    # representative's own primary for the same key, deliver zero units,
-    # and inherit the primary's outcome — so members of a same-instant
-    # cohort are *bit-identical* until they finish.  Lockstep mode
-    # exploits that: members never submit queries (one weighted virtual
-    # attachment per primary keeps cache counters and cancel-pinning
-    # exact), never replay their arrays until they must, and share one
-    # metrics template that each member copies on finishing.  Per-member
-    # work remains only where identity genuinely diverges: observer
-    # events (skipped when nobody listens), finishing, and the two exits
-    # — demotion to live mirroring when a representative launch is
-    # answered by the cache instead of dispatched (members must then
-    # submit real queries to preserve per-member delivery events), and
-    # the all-member split when members cancelled a wait the
-    # representative's query went on to complete.
+    # representative's own primary for the same key, or hit the memo
+    # entry the representative's launch hit; either way it delivers zero
+    # units and inherits the representative's outcome — so members of a
+    # same-instant cohort are *bit-identical* until they finish.
+    # Lockstep mode exploits that: members never submit queries (one
+    # weighted virtual attachment per primary or pending memo delivery
+    # keeps cache counters and cancel-pinning exact), never replay their
+    # arrays until they must, and share one metrics template that each
+    # member copies on finishing.  Per-member work remains only where
+    # identity genuinely diverges: observer events (skipped when nobody
+    # listens), finishing, and the exits (DEMOTION_REASONS) — demotion to
+    # live mirroring when a representative launch coalesces into another
+    # issuer's primary (members must then submit real queries to keep
+    # their fan-out positions), and the all-member split when members
+    # cancelled a wait the representative's query went on to complete.
+    #
+    # Memo-served stages stay in lockstep only while nobody listens.  A
+    # member never dispatches a database query — it always coalesces or
+    # memo-hits behind its representative — so dropping its zero-delay
+    # band-2 deliveries reorders no other event; only where the member's
+    # *own* observer events fall among other instances' at the same
+    # instant would move.  With a subscriber that order is observable,
+    # so such a stage demotes and members replay their deliveries live.
 
     def _listening(self):
         """The observer, or None when event emission would be unobservable."""
@@ -1041,14 +1073,10 @@ class BatchedEngine(Engine):
         if cache is None:
             return "live"
         rep = cohort.rep
+        memo = self._listening() is None
         for launch in cohort.log[0].launches:
             handle = rep.inflight.get(launch.name)
-            if handle is None or not cache.is_primary(handle):
-                return "live"
-            if cache.follower_count(handle):
-                # Another instance already coalesced a real follower, so
-                # virtual attachments could no longer fan ahead of it in
-                # join order.
+            if handle is None or not cache.can_attach_virtual(handle, memo):
                 return "live"
         cohort.epoch = cache.follower_epoch
         return "lockstep"
@@ -1058,8 +1086,8 @@ class BatchedEngine(Engine):
             cache = self.query_cache
             if cache.follower_epoch != cohort.epoch:
                 rep = cohort.rep
-                if any(
-                    cache.follower_count(rep.inflight[vname])
+                if not all(
+                    cache.can_attach_virtual(rep.inflight[vname], True)
                     for vname in cohort.virtual
                 ):
                     # A real follower coalesced behind a representative
@@ -1178,14 +1206,20 @@ class BatchedEngine(Engine):
                     cache.release_virtual(rep.inflight[vname], count)
             return
         launches = rec.launches
+        obs = self._listening()
         if launches:
             for new_launch in launches:
                 new_handle = rep.inflight.get(new_launch.name)
-                if new_handle is None or not cache.is_primary(new_handle):
-                    # The cache answered this launch (memo hit, or a
-                    # coalesce into some other issuer's primary): members
-                    # need their own per-delivery events from here on.
-                    self._demote_cohort(cohort, rep, rec, name, member_completed)
+                if new_handle is None or not cache.can_attach_virtual(
+                    new_handle, obs is None
+                ):
+                    # The launch coalesced into some other issuer's
+                    # primary, or a listened-to memo hit: members need
+                    # their own per-delivery events from here on.
+                    reason = (
+                        "observed" if getattr(new_handle, "memo", False) else "coalesced"
+                    )
+                    self._demote_cohort(cohort, rep, rec, name, member_completed, reason)
                     return
             template.queries_launched += len(launches)
             for new_launch in launches:
@@ -1193,7 +1227,6 @@ class BatchedEngine(Engine):
                     template.speculative_launched += 1
                 cache.attach_virtual(rep.inflight[new_launch.name], count)
                 cohort.virtual[new_launch.name] = new_launch
-        obs = self._listening()
         if obs is not None:
             for member in cohort.members:
                 obs.on_query_done(member, name, units=0, completed=member_completed)
@@ -1264,6 +1297,7 @@ class BatchedEngine(Engine):
         the full log and resume as live mirrors with their materialized
         followers in flight.
         """
+        self._count_demotion("late_join")
         self._materialize_lockstep(cohort, cohort.rep)
         for member in cohort.members:
             self._hydrate_lockstep_member(cohort, member, cohort.log)
@@ -1290,9 +1324,16 @@ class BatchedEngine(Engine):
             member._any_launched = True
 
     def _demote_cohort(
-        self, cohort: _Cohort, rep, rec: _StageRecord, name: str, member_completed: bool
+        self,
+        cohort: _Cohort,
+        rep,
+        rec: _StageRecord,
+        name: str,
+        member_completed: bool,
+        reason: str,
     ) -> None:
         """Exit lockstep into live mirroring (members submit real queries)."""
+        self._count_demotion(reason)
         self._materialize_lockstep(cohort, rep)
         obs = self._listening()
         for member in cohort.members:
@@ -1308,6 +1349,7 @@ class BatchedEngine(Engine):
     def _lockstep_split_all(
         self, cohort: _Cohort, rep, launch: _LaunchRecord, name: str
     ) -> None:
+        self._count_demotion("split_all")
         self._materialize_lockstep(cohort, rep)
         obs = self._listening()
         for member in list(cohort.members):
@@ -1320,6 +1362,10 @@ class BatchedEngine(Engine):
         cohort.template = None
         cohort.members = []
         rep._cohort = None
+
+    def _count_demotion(self, reason: str) -> None:
+        if self._obs_on:
+            self._obs_cohort_demotions[reason].inc()
 
     @staticmethod
     def _copy_counters(src: InstanceMetrics, dst: InstanceMetrics) -> None:

@@ -570,15 +570,22 @@ class _CacheFollower:
     #: cut must ignore them (same contract as engine-level shared waits).
     counts_for_parallelism = False
 
-    __slots__ = ("key", "cost", "on_complete", "cancel_requested", "finished", "failed")
+    __slots__ = (
+        "key", "cost", "on_complete", "cancel_requested", "finished", "failed", "memo"
+    )
 
-    def __init__(self, key: object, cost: int, on_complete: CompletionCallback):
+    def __init__(
+        self, key: object, cost: int, on_complete: CompletionCallback, memo: bool = False
+    ):
         self.key = key
         self.cost = cost
         self.on_complete = on_complete
         self.cancel_requested = False
         self.finished = False
         self.failed = False
+        #: True for a memo (or L2) hit awaiting its zero-delay delivery,
+        #: False for a follower coalesced behind an in-flight primary
+        self.memo = memo
 
     def cancel(self) -> None:
         """Mark the pending delivery cancelled (resolved at fan-out)."""
@@ -610,7 +617,9 @@ class QueryShareCache:
     * a **completed** identical query is served from a bounded LRU memo
       as a *hit* — a zero-delay band-2 delivery, the same priority as
       engine-level shared-result deliveries, so per-event and pooled
-      dispatch order it identically;
+      dispatch order it identically (recency moves on a key's first hit
+      in each instant, and a key hit in the current instant outlives
+      it: see ``_touch``);
     * anything else is a **miss** and dispatches to the wrapped database.
 
     Failed primaries resolve their followers (marked ``failed``) but are
@@ -667,8 +676,9 @@ class QueryShareCache:
         #: resolution bookkeeping happens in the issuer's completion
         #: callback, so the cache only counts them.
         self._virtual: dict[object, int] = {}
-        #: completed keys, LRU-ordered (oldest first)
-        self._memo: dict[object, bool] = {}
+        #: completed keys, LRU-ordered (oldest first), each mapped to the
+        #: instant of its latest hit (None while never hit)
+        self._memo: dict[object, float | None] = {}
         self.hits = 0
         self.misses = 0
         self.coalesced = 0
@@ -695,18 +705,11 @@ class QueryShareCache:
         memo = self._memo
         if key in memo:
             self.hits += 1
-            if next(reversed(memo)) != key:
-                # Refresh LRU recency so hot keys are the last evicted.
-                del memo[key]
-                memo[key] = True
-            follower = _CacheFollower(key, cost, on_complete)
+            self._touch(key)
             # Deliver asynchronously (band 2, like engine-level shared
             # results) so state changes stay event-driven and pooled
             # dispatch sees the same event order as per-event stepping.
-            self.database.sim.schedule(
-                0.0, lambda: self._deliver(follower), priority=(2, 0)
-            )
-            return follower
+            return self._schedule_delivery(_CacheFollower(key, cost, on_complete, True))
         entry = self._inflight.get(key)
         if entry is not None:
             self.coalesced += 1
@@ -721,12 +724,10 @@ class QueryShareCache:
                 # promote it into the L1 memo and serve the same
                 # zero-delay band-2 delivery as a memo hit.
                 self.l2_hits += 1
-                self._remember(key)
-                follower = _CacheFollower(key, cost, on_complete)
-                self.database.sim.schedule(
-                    0.0, lambda: self._deliver(follower), priority=(2, 0)
+                self._remember(key, hit=True)
+                return self._schedule_delivery(
+                    _CacheFollower(key, cost, on_complete, True)
                 )
-                return follower
             self.l2_misses += 1
         self.misses += 1
         return self._dispatch(key, cost, on_complete)
@@ -805,6 +806,12 @@ class QueryShareCache:
                 follower.failed = failed
                 follower.on_complete(0, True)
 
+    def _schedule_delivery(self, follower: _CacheFollower) -> _CacheFollower:
+        self.database.sim.schedule(
+            0.0, lambda: self._deliver(follower), priority=(2, 0)
+        )
+        return follower
+
     def _deliver(self, follower: _CacheFollower) -> None:
         """Fire a memo hit's zero-delay delivery."""
         follower.finished = True
@@ -813,52 +820,78 @@ class QueryShareCache:
         else:
             follower.on_complete(0, True)
 
-    def _remember(self, key: object) -> None:
+    # The memo's LRU order moves at instant granularity: a hit refreshes
+    # a key's recency only on its first hit in an instant, and a key hit
+    # in the current instant is not evicted before the instant ends.
+    # Repeat hits within one instant — a cohort's members hitting the key
+    # their representative just hit — then change neither the order nor
+    # the contents, so the memo evolves identically whether members hit
+    # one by one or are counted in bulk (attach_virtual).
+
+    def _touch(self, key: object) -> None:
+        """Refresh a memoized key's recency so hot keys are the last evicted."""
+        now = self.database.sim.now
+        memo = self._memo
+        if memo[key] != now:
+            del memo[key]
+            memo[key] = now
+
+    def _remember(self, key: object, hit: bool = False) -> None:
         memo = self._memo
         if key in memo:
             return
-        if len(memo) >= self.memo_limit:
-            memo.pop(next(iter(memo)))
-        memo[key] = True
+        now = self.database.sim.now
+        while len(memo) >= self.memo_limit:
+            oldest = next(iter(memo))
+            if memo[oldest] == now:
+                break  # every entry was hit this instant: hold them until it ends
+            del memo[oldest]
+        memo[key] = now if hit else None
 
     # -- virtual followers (cohort-weighted coalescing) -----------------------
     #
     # Cohort execution dedupes whole instances: every member of a cohort
     # would submit the same key and coalesce behind the representative's
-    # primary.  Rather than materializing one _CacheFollower per member
-    # per query, the engine attaches a *count* — counters and waiter
-    # pinning behave exactly as if that many live followers had joined,
-    # while resolution bookkeeping is fanned by the engine inside the
-    # issuer's completion callback (the same event real followers would
-    # resolve in).
+    # primary, or hit the memo like the representative did.  Rather than
+    # materializing one _CacheFollower per member per query, the engine
+    # attaches a *count* behind the representative's handle — counters
+    # (and, behind a primary, waiter pinning) behave exactly as if that
+    # many followers had joined, while resolution bookkeeping is fanned
+    # by the engine inside the representative's own completion callback.
 
-    def is_primary(self, handle: object) -> bool:
-        """Whether *handle* is the live primary of an in-flight key."""
-        return handle in self._handle_key
+    def can_attach_virtual(self, handle: object, memo: bool) -> bool:
+        """Whether virtual followers attached behind *handle* now stay exact.
 
-    def follower_count(self, handle: object) -> int:
-        """Real followers already coalesced behind *handle* (0 otherwise).
-
-        Virtual attachments are fanned ahead of the real follower list,
-        so they stay order-exact only while they precede every real
-        follower; the engine checks this before attaching at a cohort
-        join.  Cancelled followers still occupy fan-out positions and
-        therefore count here.
+        Behind a primary, virtual attachments are fanned ahead of the
+        real follower list, so they are order-exact only while no real
+        follower has coalesced yet.  A pending memo delivery (*memo*
+        permitting) qualifies until it fires: its key was hit this
+        instant, so it stays memoized and an attaching member would hit
+        it too.  A follower coalesced into some primary never qualifies.
         """
+        if getattr(handle, "memo", False):
+            return memo and not handle.finished
         key = self._handle_key.get(handle)
-        if key is None:
-            return 0
-        entry = self._inflight.get(key)
-        return len(entry[1]) if entry is not None else 0
+        return key is not None and not self._inflight[key][1]
 
     def attach_virtual(self, handle: object, count: int) -> None:
-        """Coalesce *count* virtual followers behind a primary handle."""
+        """Count *count* virtual followers behind a primary or memo delivery.
+
+        Behind a primary they are coalesced waiters that pin it; behind
+        a memo delivery they are memo hits with nothing to pin (repeat
+        hits within the instant, so the memo's order is unaffected).
+        """
+        if getattr(handle, "memo", False):
+            self.hits += count
+            return
         key = self._handle_key[handle]
         self.coalesced += count
         self._virtual[key] = self._virtual.get(key, 0) + count
 
     def release_virtual(self, handle: object, count: int) -> None:
         """Un-pin *count* virtual followers (they cancelled their wait)."""
+        if getattr(handle, "memo", False):
+            return  # memo hits pin nothing
         key = self._handle_key[handle]
         left = self._virtual.get(key, 0) - count
         if left > 0:
@@ -872,18 +905,25 @@ class QueryShareCache:
         """Convert virtual followers into real ones (cohort demotion).
 
         *specs* is one ``(cost, on_complete, cancel_requested)`` triple
-        per follower, in join order; the new followers are prepended
-        ahead of any follower that coalesced later, preserving fan-out
-        order.  Counters are untouched (the attachments were already
-        counted), and any remaining virtual pin on the key is dropped —
-        the materialized followers carry the waiting from here.
+        per follower, in join order.  Counters are untouched (the
+        attachments were already counted).  Behind a primary the new
+        followers are prepended ahead of any follower that coalesced
+        later, preserving fan-out order, and the virtual pin on the key
+        is dropped — the materialized followers carry the waiting from
+        here.  Behind a memo delivery each gets its own zero-delay
+        delivery.
         """
-        key = self._handle_key[handle]
+        memo = getattr(handle, "memo", False)
+        key = handle.key if memo else self._handle_key[handle]
         followers: list[_CacheFollower] = []
         for cost, on_complete, cancelled in specs:
-            follower = _CacheFollower(key, cost, on_complete)
+            follower = _CacheFollower(key, cost, on_complete, memo)
             follower.cancel_requested = cancelled
             followers.append(follower)
+        if memo:
+            for follower in followers:
+                self._schedule_delivery(follower)
+            return followers
         entry = self._inflight[key]
         entry[1][:0] = followers
         self.follower_epoch += 1

@@ -185,6 +185,40 @@ class TestMemoBounds:
         assert cache.hits == 1
         assert cache.misses == 4
 
+    def test_repeat_hits_within_an_instant_keep_the_order(self):
+        sim, _, cache = make_cache(memo_limit=2)
+        for name in ("a", "b"):
+            cache.submit((name, 1), 1, Recorder())
+        sim.run()
+        for name in ("a", "b", "a"):  # the second "a" hit is a repeat
+            cache.submit((name, 1), 1, Recorder())
+        sim.run()
+        cache.submit(("c", 1), 1, Recorder())  # evicts "a", not "b"
+        sim.run()
+        cache.submit(("b", 1), 1, Recorder())
+        sim.run()
+        assert (cache.hits, cache.misses) == (4, 3)
+
+    def test_keys_hit_this_instant_outlive_it(self):
+        class EveryKeyL2:
+            def probe(self, key):
+                return True
+
+        sim, _, cache = make_cache(memo_limit=1)
+        cache.submit(("a", 1), 1, Recorder())
+        sim.run()
+        cache.submit(("a", 1), 1, Recorder())
+        cache.l2 = EveryKeyL2()
+        cache.submit(("b", 1), 1, Recorder())  # promotion must not evict "a"
+        cache.submit(("a", 1), 1, Recorder())
+        assert cache.memo_size == 2
+        assert (cache.hits, cache.l2_hits) == (2, 1)
+        sim.run()
+        cache.l2 = None
+        cache.submit(("c", 1), 1, Recorder())
+        sim.run()  # inserting "c" one instant later trims to the limit
+        assert cache.memo_size == 1
+
     def test_hit_refreshes_recency(self):
         sim, _, cache = make_cache(memo_limit=2)
         for name in ("a", "b"):
@@ -313,3 +347,68 @@ class TestL2Probe:
 
         with pytest.raises(ValueError):
             SharedQueryTier(limit=0)
+
+
+class TestVirtualMemoFollowers:
+    """Cohort members counted in bulk behind a pending memo delivery."""
+
+    def warm(self, memo_limit: int = 64):
+        sim, database, cache = make_cache(memo_limit=memo_limit)
+        cache.submit(("q", 3), 3, Recorder())
+        sim.run()
+        rep = Recorder()
+        handle = cache.submit(("q", 3), 3, rep)
+        return sim, cache, handle, rep
+
+    def test_attach_counts_hits_and_pins_nothing(self):
+        sim, cache, handle, rep = self.warm()
+        assert cache.can_attach_virtual(handle, memo=True)
+        assert not cache.can_attach_virtual(handle, memo=False)
+        cache.attach_virtual(handle, 4)
+        assert (cache.hits, cache.coalesced) == (5, 0)
+        assert cache.waiter_count(handle) == 0
+        cache.release_virtual(handle, 4)  # nothing to un-pin
+        sim.run()
+        assert rep.calls == [(0, True)]
+        assert not cache.can_attach_virtual(handle, memo=True)  # delivered
+
+    def test_materialize_schedules_one_delivery_each_without_recounting(self):
+        sim, cache, handle, rep = self.warm()
+        cache.attach_virtual(handle, 2)
+        waiting, cancelled = Recorder(), Recorder()
+        followers = cache.materialize_virtual(
+            handle, [(3, waiting, False), (3, cancelled, True)]
+        )
+        assert [f.memo for f in followers] == [True, True]
+        assert cache.hits == 3
+        sim.run()
+        assert rep.calls == [(0, True)]
+        assert waiting.calls == [(0, True)]
+        assert cancelled.calls == [(0, False)]
+
+    def test_bulk_hits_leave_the_memo_as_one_by_one_hits_would(self):
+        def drive(bulk: bool) -> tuple:
+            sim, cache, handle, _ = self.warm(memo_limit=2)
+            cache.submit(("b", 1), 1, Recorder())
+            sim.run()  # "b" completes one instant later; the memo is full
+            handle = cache.submit(("q", 3), 3, Recorder())
+            cache.submit(("b", 1), 1, Recorder())  # a hit in between
+            if bulk:
+                cache.attach_virtual(handle, 1)
+            else:
+                cache.submit(("q", 3), 3, Recorder())
+            sim.run()
+            cache.submit(("c", 1), 1, Recorder())
+            sim.run()  # inserting "c" evicts the older of "q" and "b"
+            return list(cache._memo), cache.hits, cache.misses
+
+        assert drive(bulk=True) == drive(bulk=False)
+
+    def test_coalesced_follower_never_attaches(self):
+        sim, database, cache = make_cache()
+        primary = cache.submit(("q", 3), 3, Recorder())
+        assert cache.can_attach_virtual(primary, memo=True)
+        follower = cache.submit(("q", 3), 3, Recorder())
+        assert not cache.can_attach_virtual(follower, memo=True)
+        # ...and a real follower makes the primary order-inexact.
+        assert not cache.can_attach_virtual(primary, memo=True)
